@@ -80,9 +80,6 @@ DEFAULT_HOT_THRESHOLD = 2
 #: everywhere (the ``--no-jit`` escape hatch plumbs through this).
 ENABLE_ENV = "REPRO_JIT"
 
-#: Environment override for the hotness threshold.
-THRESHOLD_ENV = "REPRO_JIT_THRESHOLD"
-
 _MASK32 = 0xFFFFFFFF
 _ALL_FLAG_MASK = sum(1 << flag for flag in ALL_FLAGS)
 
@@ -101,18 +98,6 @@ def jit_enabled_by_env() -> bool:
     return os.environ.get(ENABLE_ENV, "1").strip().lower() not in (
         "0", "off", "no", "false",
     )
-
-
-def threshold_from_env() -> int:
-    """The hotness threshold, honouring :data:`THRESHOLD_ENV`."""
-    import os
-
-    raw = os.environ.get(THRESHOLD_ENV, "")
-    try:
-        value = int(raw)
-    except ValueError:
-        return DEFAULT_HOT_THRESHOLD
-    return max(1, value)
 
 
 class Ineligible(Exception):
@@ -1055,7 +1040,7 @@ class BlockJit:
         metrics: Optional[MetricsRegistry] = None,
     ) -> None:
         self.interp = interp
-        self.threshold = max(1, threshold if threshold is not None else threshold_from_env())
+        self.threshold = max(1, threshold if threshold is not None else DEFAULT_HOT_THRESHOLD)
         #: (address, count) -> compiled closure; probed by run_block_at.
         self.code: Dict[Tuple[int, int], Callable] = {}
         self.blocks: Dict[Tuple[int, int], CompiledBlock] = {}

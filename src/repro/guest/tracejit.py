@@ -4,7 +4,7 @@ The block JIT (:mod:`repro.guest.blockjit`) made hot blocks fast but
 still round-trips the full guest state at every block boundary: each
 closure loads its registers from ``state.regs``, stores them back, and
 materializes the packed flag word even when the next block immediately
-kills it.  The chained dispatch loop in ``TimingVM._run_fast`` already
+kills it.  The chained dispatch loop in ``TimingVM._run`` already
 proves which successions are stable — ``_chain_links`` records a direct
 successor-entry reference once a block's exit target has repeated
 ``CHAIN_STREAK_THRESHOLD`` times (immediately for static exits).  This
@@ -42,16 +42,16 @@ SMC story: the entry guard rejects a stale generation (``V.code_writes``
 is the write-generation counter) and a dirty ``pending_smc`` set.  A
 store *inside* the trace that hits a registered code page sets
 ``pending_smc``; the next boundary after the store runs the same
-``_invalidate_smc_pages()`` the stepping path runs, and if that bumped
+``_invalidate_smc_pages()`` the dispatch loop runs, and if that bumped
 the engine epoch (the write invalidated compiled code) the trace side-
 exits with reason ``smc``.  ``TraceJit.invalidate`` — wired into
 ``BlockJit.on_invalidate`` by the VM — clears installed traces in
 place, so the dispatch loop can never re-enter stale trace code.
 
-Budget semantics: the stepping path checks the guest-instruction budget
+Budget semantics: the dispatch loop checks the guest-instruction budget
 after every block; a trace checks it at its loop back-edge and the
 dispatcher checks after every trace return, so an over-budget run may
-raise up to one trace iteration later than the stepping path.  This is
+raise up to one trace iteration later than the dispatch loop.  This is
 documented slack on an error path only — runs within budget (everything
 the harness executes) are bit-identical.
 
@@ -84,9 +84,6 @@ from repro.obs.metrics import COMPILE_TIME_BUCKETS, MetricsRegistry
 #: JIT and chained dispatch are unaffected.
 TRACE_ENABLE_ENV = "REPRO_TRACEJIT"
 
-#: Environment override for the trace-formation heat threshold.
-TRACE_THRESHOLD_ENV = "REPRO_TRACE_THRESHOLD"
-
 #: Chained arrivals at a head before a trace is attempted there.  Low on
 #: purpose: by the time a chain exists the blocks have already proven
 #: stable, and a compiled trace pays for itself within a few iterations.
@@ -108,18 +105,6 @@ def trace_jit_enabled_by_env() -> bool:
     return os.environ.get(TRACE_ENABLE_ENV, "1").strip().lower() not in (
         "0", "off", "no", "false",
     )
-
-
-def trace_threshold_from_env() -> int:
-    """The trace heat threshold, honouring :data:`TRACE_THRESHOLD_ENV`."""
-    import os
-
-    raw = os.environ.get(TRACE_THRESHOLD_ENV, "")
-    try:
-        value = int(raw)
-    except ValueError:
-        return DEFAULT_TRACE_THRESHOLD
-    return max(1, value)
 
 
 class CompiledTrace:
@@ -158,7 +143,7 @@ def _classify_terminator(last: Instruction) -> Tuple[str, bool, Optional[int]]:
     This is a guest-level approximation of the frontend's
     :class:`~repro.dbt.ir.ExitKind` lowering, used only for guard
     placement and eligibility.  The *authoritative* exit kind — the one
-    the stepping path derives its ``arrived_indirect`` flag from — is
+    the dispatch loop derives its ``arrived_indirect`` flag from — is
     read from the translated block at run time (``_blk.exit_kind``),
     because the optimizer may fold a computed jump with a constant
     target into a direct one and the fold depends on translator knobs.
@@ -275,10 +260,10 @@ class _TraceCompiler(_Compiler):
         the hot path accumulates them in integer locals and a flush at
         every exit — and in the fault handler, where ``blocks_expr`` is
         ``_bl + 1`` because the faulting block's fetch already counted —
-        settles the exact totals the stepping path would have bumped one
+        settles the exact totals the dispatch loop would have bumped one
         block at a time.  Every guest-stat flush is guarded: an
-        unconditional bump of zero would *create* a counter the stepping
-        path never touches.
+        unconditional bump of zero would *create* a counter the dispatch
+        loop never touches.
         """
         lines = []
         for key in self.stat_accs:
@@ -387,7 +372,7 @@ def compile_trace(
         kind, guarded, _static = kinds[i]
         comp.begin_block(i, instrs, pc, count)
 
-        # The stepping path's per-block preamble, verbatim.  The
+        # The dispatch loop's per-block preamble, verbatim.  The
         # arrived-indirect flag must match what the dispatcher derives
         # from the *translated* predecessor (its exit kind after
         # optimization — a const-folded computed jump arrives direct),
@@ -431,7 +416,7 @@ def compile_trace(
         if comp.taken_var:
             comp.emit("if _t: _st_taken_branches += 1")
 
-        # accounting + timing, in the stepping path's order
+        # accounting + timing, in the dispatch loop's order
         comp.emit("_pn += %d" % count)
         comp.emit("ET += %d" % count)
         comp.emit("_bl += 1")
@@ -655,7 +640,7 @@ class TraceJit:
         self.interp = interp
         self.engine = engine  # the BlockJit whose blocks/epoch we track
         self.threshold = max(
-            1, threshold if threshold is not None else trace_threshold_from_env()
+            1, threshold if threshold is not None else DEFAULT_TRACE_THRESHOLD
         )
         self.max_blocks = max(1, max_blocks)
         self.metrics_interval = metrics_interval

@@ -23,7 +23,7 @@ Structural defects and semantic counterexamples both raise
 :class:`~repro.verify.findings.VerificationError` with a stable defect
 ``code``, so a corrupted closure is *attributed*, not just rejected.
 
-:func:`check_chain_links` validates the ``_run_fast`` successor-cache
+:func:`check_chain_links` validates the ``TimingVM._run`` successor-cache
 invariants (:mod:`repro.vm.timing`) over a live machine's dispatch
 table — the runtime structure the closures are dispatched through.
 """
@@ -709,7 +709,7 @@ class JitVerifier(SymbolicChecker):
         self._compare(guest_state, jit_state, stage, ALL_FLAGS_MASK)
 
 
-# -- _run_fast chain-link invariants ---------------------------------------
+# -- TimingVM._run chain-link invariants -----------------------------------
 
 
 def check_chain_links(
@@ -718,9 +718,9 @@ def check_chain_links(
     blocks: Dict[Tuple[int, int], object],
     threshold: int = 4,
 ) -> List[Finding]:
-    """Validate a live ``_run_fast`` successor cache against its JIT.
+    """Validate a live ``TimingVM._run`` successor cache against its JIT.
 
-    ``links`` is ``TiledMachine._chain_links`` (``pc -> [fn, count,
+    ``links`` is ``TimingVM._chain_links`` (``pc -> [fn, count,
     expected_next, streak, next_entry]``), ``code``/``blocks`` the
     engine's ``(pc, count)``-keyed closure and block dicts.  Returns
     ERROR findings for every broken invariant: entries must reference

@@ -20,7 +20,7 @@ leading ends/exits are forgiven, because their openers fell off the
 ring).
 
 :func:`conform_vm` additionally audits the live machine structures the
-events can't see: the ``_run_fast`` chain table (via
+events can't see: the ``TimingVM._run`` chain table (via
 ``check_chain_links``), the block-JIT code/blocks maps, and the
 translation cache's generation keys.
 """

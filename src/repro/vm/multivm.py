@@ -71,7 +71,6 @@ class SharedFabric:
         config = VirtualArchConfig("shared_fabric_vm", translator_tiles=min(6, base_share))
         self.vms: List[TimingVM] = [TimingVM(program, config) for program in programs]
         for vm in self.vms:
-            vm.start()
             vm.subsystem.set_slave_count(base_share, now=0)
         self._blocked_until: Dict[int, int] = {i: 0 for i in range(len(self.vms))}
         self._shares: Dict[int, int] = {i: base_share for i in range(len(self.vms))}
@@ -91,9 +90,8 @@ class SharedFabric:
         ]
         if not runnable:
             return
-        finished = [i for i, vm in enumerate(self.vms) if vm.finished]
         reserved = MIN_SLAVES_PER_VM * len(blocked)
-        available = self.slave_pool - reserved - 0 * len(finished)
+        available = self.slave_pool - reserved
         share, remainder = divmod(available, len(runnable))
         new_shares = dict(self._shares)
         for index in blocked:
@@ -135,7 +133,7 @@ class SharedFabric:
                 if self.dynamic:
                     self._rebalance(vm.now)
                     self._last_rebalance = vm.now
-        else:
+        if not all(vm.finished for vm in self.vms):
             raise RuntimeError(f"shared fabric exceeded {max_steps} scheduling steps")
 
         results = [vm.result() for vm in self.vms]

@@ -16,6 +16,7 @@ slowdown.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field
 from typing import Dict, Optional
@@ -53,22 +54,6 @@ METRICS_SAMPLE_INTERVAL_BLOCKS = 32
 #: the dispatch loop chains the two closures (the indirect-exit inline
 #: cache; statically known successors chain on first contact).
 CHAIN_STREAK_THRESHOLD = 4
-
-#: Environment override for :data:`CHAIN_STREAK_THRESHOLD` (per-VM, read
-#: at construction — the trace tier inherits the chains it shapes).
-CHAIN_STREAK_ENV = "REPRO_CHAIN_STREAK"
-
-
-def chain_streak_from_env() -> int:
-    """The chain streak threshold, honouring :data:`CHAIN_STREAK_ENV`."""
-    import os
-
-    raw = os.environ.get(CHAIN_STREAK_ENV, "")
-    try:
-        value = int(raw)
-    except ValueError:
-        return CHAIN_STREAK_THRESHOLD
-    return max(1, value)
 
 
 class _TimingObserver(AccessObserver):
@@ -288,7 +273,7 @@ class TimingVM:
         self.syscall_tile = Resource("syscall_tile")
 
         # block JIT: hot guest blocks compile to specialized closures
-        # (repro.guest.blockjit); the fast run loop chains them into
+        # (repro.guest.blockjit); the dispatch loop chains them into
         # superblock traces.  Deliberately NOT a VirtualArchConfig knob:
         # it models nothing, it only accelerates the simulation, and
         # results are bit-identical with it on or off.  Its metrics live
@@ -296,8 +281,6 @@ class TimingVM:
         self.jit_enabled = jit if jit is not None else jit_enabled_by_env()
         self.jit_metrics = MetricsRegistry("blockjit")
         self._chain_links: Dict[int, list] = {}
-        #: Chain streak threshold, overridable via REPRO_CHAIN_STREAK.
-        self.chain_streak = chain_streak_from_env()
         #: Trace tier above chaining: hot chains compile to single
         #: closures (repro.guest.tracejit).  Like the block JIT, a pure
         #: simulation accelerator — results are bit-identical on or off.
@@ -347,6 +330,7 @@ class TimingVM:
         # interned fetch-level stat keys — both avoid per-block rework
         self._pages_registered: set = set()
         self._fetch_stat_keys: Dict[str, str] = {}
+        self.start()
 
     def _read_code(self, address: int, length: int) -> bytes:
         return self.interp.memory.read_bytes(address, length)
@@ -355,7 +339,7 @@ class TimingVM:
         """Self-modifying write invalidated compiled code: chained
         dispatch state and installed traces reference stale closures
         and must be dropped in the same breath (both cleared in place —
-        the fast loop aliases the dicts)."""
+        the dispatch loop aliases the dicts)."""
         self._chain_links.clear()
         if self._tracejit is not None:
             self._tracejit.invalidate()
@@ -377,13 +361,17 @@ class TimingVM:
     # -- the runtime-execution tile's main loop ------------------------------
 
     def start(self) -> None:
-        """Initialize the stepping state (implicit on first :meth:`step`)."""
+        """Reset the dispatch state to the guest's current ``eip``
+        (done at construction and by :meth:`run`)."""
         self._pc = self.interp.state.eip
         self._prev_pc: Optional[int] = None
         self._arrived_indirect = False
         self._executed_instructions = 0
         self.last_exit_kind: Optional[str] = None
-        self._started = True
+        # chain entry of the previous block and the length of the open
+        # run of compiled-block executions: kept across :meth:`step`s
+        self._prev_entry: Optional[list] = None
+        self._trace_len = 0
 
     @property
     def finished(self) -> bool:
@@ -394,87 +382,20 @@ class TimingVM:
 
         The stepping API exists so several virtual machines can share
         one fabric (see :mod:`repro.vm.multivm`): an external scheduler
-        interleaves VMs by their cycle counters.
+        interleaves VMs by their cycle counters.  A step is one pass of
+        :meth:`_run`'s loop with no guest-instruction budget; it skips
+        the trace tier, whose closures run many blocks per call.
         """
-        if not getattr(self, "_started", False):
-            self.start()
-        interp = self.interp
-        if interp.exit_code is not None:
-            return False
-
-        pc = self._pc
-        lookup = self.hierarchy.fetch(self.now, pc, self._prev_pc, self._arrived_indirect)
-        self.now = lookup.ready_time
-        block = lookup.block
-        stats = self.stats
-        stats.bump("blocks_executed")
-        level = lookup.level
-        fetch_key = self._fetch_stat_keys.get(level)
-        if fetch_key is None:
-            fetch_key = "fetch_" + level.replace(".", "_")
-            self._fetch_stat_keys[level] = fetch_key
-        stats.bump(fetch_key)
-        if pc not in self._pages_registered:
-            self._pages_registered.add(pc)
-            for page in pages_spanned(block.guest_address, block.guest_length):
-                self.code_pages.setdefault(page, set()).add(pc)
-
-        # functional execution of the block's guest instructions,
-        # with memory stalls accumulating into pending_stall; the
-        # interpreter's block fast path batches fetch/dispatch work and
-        # the PIII per-instruction accounting folds into one call
-        self.pending_stall = 0
-        profiler = self._prof
-        if profiler.enabled:
-            with profiler.phase("interpreter"):
-                executed = interp.run_block_at(pc, block.guest_instr_count)
-        else:
-            executed = interp.run_block_at(pc, block.guest_instr_count)
-        self.piii.on_instructions(executed)
-        self._executed_instructions += executed
-        self.now += block.cost_cycles + self.pending_stall
-
-        if block.exit_kind == "syscall" and interp.exit_code is None:
-            hops = self.grid.hops(
-                self.hierarchy.execution, self.grid.find_one(TileRole.SYSCALL)
-            )
-            if self.tracer.enabled:
-                self.tracer.emit(
-                    self.now, "net", "msg", "execution", dst="syscall_tile", hops=hops, words=1
-                )
-            self.now += self.network.round_trip(hops)
-            self.now = self.syscall_tile.service(self.now, SYSCALL_TILE_OCCUPANCY)
-            self.stats.bump("syscalls")
-
-        if self.morph is not None:
-            if profiler.enabled:
-                t0 = time.perf_counter_ns()
-                self.now += self.morph.on_block_executed(self.now)
-                profiler.add("morph", time.perf_counter_ns() - t0)
-            else:
-                self.now += self.morph.on_block_executed(self.now)
-
-        self._blocks_since_metrics += 1
-        if self._blocks_since_metrics >= METRICS_SAMPLE_INTERVAL_BLOCKS:
-            self._blocks_since_metrics = 0
-            self._sample_metrics()
-
-        if self.pending_smc:
-            self._invalidate_smc_pages()
-
-        self._prev_pc = pc
-        self._pc = interp.state.eip
-        self._arrived_indirect = block.exit_kind == "indirect"
-        self.last_exit_kind = block.exit_kind
-        return interp.exit_code is None
+        self._run(math.inf, one_block=True)
+        return self.interp.exit_code is None
 
     def run(self, max_guest_instructions: int = 10_000_000) -> TimingRunResult:
         """Run the workload to completion; returns the timing result."""
         self.start()
-        self._run_fast(max_guest_instructions)
+        self._run(max_guest_instructions)
         if self.protocol_checked:
             self.assert_protocol()
-        return self._result(self._executed_instructions)
+        return self.result()
 
     def assert_protocol(self):
         """Replay the event stream through the protocol conformance
@@ -502,19 +423,17 @@ class TimingVM:
                 pc=pc, blocks=trace_len, reason=reason,
             )
 
-    def _run_fast(self, max_guest_instructions: int) -> None:
-        """:meth:`run`'s inner loop: :meth:`step` semantics with the
-        dispatch overhead hoisted out.
+    def _run(self, max_guest_instructions, one_block: bool = False) -> None:
+        """The dispatch loop: fetch, execute, charge cycles, morph and
+        SMC checks, block after block until the guest exits — or for a
+        single block when ``one_block`` is set (:meth:`step`).
 
-        Performs exactly the operations :meth:`step` performs, in the
-        same order (results are bit-identical to the stepping path,
-        asserted by the test suite), but binds the per-block
-        collaborators once and — when the block JIT is on — calls
-        compiled closures directly instead of going through
-        ``run_block_at``.  Successor prediction lives in
-        ``self._chain_links``: ``pc -> [fn, count, expected_next,
-        streak, next_entry]``.  Once a block's successor is stable
-        (immediately for statically known successors, after
+        The per-block collaborators are bound once per call and — when
+        the block JIT is on — compiled closures are called directly
+        instead of going through ``run_block_at``.  Successor
+        prediction lives in ``self._chain_links``: ``pc -> [fn, count,
+        expected_next, streak, next_entry]``.  Once a block's successor
+        is stable (immediately for statically known successors, after
         ``CHAIN_STREAK_THRESHOLD`` repeats for indirect exits) the entry
         holds a direct reference to the successor's entry, so hot loops
         run closure-to-closure with no dictionary lookups between
@@ -529,8 +448,8 @@ class TimingVM:
         jit_code = interp._jit_code
         jit_blocks = jit.blocks if jit is not None else {}
         links = self._chain_links
-        streak_threshold = self.chain_streak
-        tracejit = self._tracejit
+        streak_threshold = CHAIN_STREAK_THRESHOLD
+        tracejit = None if one_block else self._tracejit
         traces = tracejit.traces if tracejit is not None else None
         trace_heat = tracejit.heat if tracejit is not None else None
         trace_threshold = tracejit.threshold if tracejit is not None else 0
@@ -556,8 +475,8 @@ class TimingVM:
         arrived_indirect = self._arrived_indirect
         executed_total = self._executed_instructions
         exit_kind = self.last_exit_kind
-        prev_entry = None
-        trace_len = 0
+        prev_entry = self._prev_entry
+        trace_len = self._trace_len
 
         while interp.exit_code is None:
             if traces is not None:
@@ -599,19 +518,8 @@ class TimingVM:
                         if t_reason == "smc" and trace_len:
                             self._close_trace(trace_len, t_prev, "smc")
                             trace_len = 0
-                        if (
-                            interp.exit_code is None
-                            and executed_total > max_guest_instructions
-                        ):
-                            self._pc = pc
-                            self._prev_pc = prev_pc
-                            self._arrived_indirect = arrived_indirect
-                            self._executed_instructions = executed_total
-                            self.last_exit_kind = exit_kind
-                            raise RuntimeError(
-                                f"workload exceeded {max_guest_instructions}"
-                                " guest instructions"
-                            )
+                        if executed_total > max_guest_instructions:
+                            break
                         continue
             lookup = fetch(self.now, pc, prev_pc, arrived_indirect)
             self.now = lookup.ready_time
@@ -744,10 +652,10 @@ class TimingVM:
                         nxt = links.get(npc)
                         if nxt is not None:
                             entry[4] = nxt
-                            self.jit_metrics.bump("chains_linked")
+                            jm_bump("chains_linked")
                 else:
                     if entry[4] is not None:
-                        self.jit_metrics.bump("chains_broken")
+                        jm_bump("chains_broken")
                     entry[2] = npc
                     entry[3] = 1
                     entry[4] = None
@@ -766,26 +674,26 @@ class TimingVM:
             pc = npc
             arrived_indirect = block.exit_kind == "indirect"
             exit_kind = block.exit_kind
-            if interp.exit_code is None and executed_total > max_guest_instructions:
-                self._pc = pc
-                self._prev_pc = prev_pc
-                self._arrived_indirect = arrived_indirect
-                self._executed_instructions = executed_total
-                self.last_exit_kind = exit_kind
-                raise RuntimeError(
-                    f"workload exceeded {max_guest_instructions} guest instructions"
-                )
+            if one_block or executed_total > max_guest_instructions:
+                break
 
-        if trace_len:
+        if trace_len and interp.exit_code is not None:
             self._close_trace(trace_len, pc, "guest_exit")
+            trace_len = 0
         self._pc = pc
         self._prev_pc = prev_pc
         self._arrived_indirect = arrived_indirect
         self._executed_instructions = executed_total
         self.last_exit_kind = exit_kind
+        self._prev_entry = prev_entry
+        self._trace_len = trace_len
+        if interp.exit_code is None and executed_total > max_guest_instructions:
+            raise RuntimeError(
+                f"workload exceeded {max_guest_instructions} guest instructions"
+            )
 
     def check_chain_invariants(self):
-        """Audit the ``_run_fast`` dispatch table against its JIT engine.
+        """Audit the :meth:`_run` dispatch table against its JIT engine.
 
         Returns the list of :class:`repro.verify.findings.Finding`
         violations (empty on a healthy machine).  Used by the verifier
@@ -799,12 +707,8 @@ class TimingVM:
             return []
         return check_chain_links(
             self._chain_links, jit.code, jit.blocks,
-            threshold=self.chain_streak,
+            threshold=CHAIN_STREAK_THRESHOLD,
         )
-
-    def result(self) -> TimingRunResult:
-        """Result of a finished (or interrupted) stepping run."""
-        return self._result(self._executed_instructions)
 
     def _sample_metrics(self) -> None:
         """Periodic time-series samples: with these, queue-length-vs-
@@ -844,13 +748,14 @@ class TimingVM:
 
                 raise VerificationError("smc-invalidate", findings)
 
-    def _result(self, executed_instructions: int) -> TimingRunResult:
+    def result(self) -> TimingRunResult:
+        """Result of a finished (or interrupted) run."""
         cache_stats = self.hierarchy.stats
         return TimingRunResult(
             config_name=self.config.name,
             workload=self.program.name,
             exit_code=self.interp.exit_code if self.interp.exit_code is not None else -1,
-            guest_instructions=executed_instructions,
+            guest_instructions=self._executed_instructions,
             cycles=self.now,
             piii_cycles=self.piii.cycles,
             l2_code_accesses=cache_stats["l2_accesses"],

@@ -16,7 +16,6 @@ from tests import blockgen
 from repro.dbt.frontend import scan_block
 from repro.guest.assembler import assemble
 from repro.guest.blockjit import (
-    DEFAULT_HOT_THRESHOLD,
     Ineligible,
     compile_block,
     jit_enabled_by_env,
@@ -173,15 +172,6 @@ class TestEngine:
         # the entry and exit blocks ran once each and stayed cold
         assert jit.metrics["compiles"] == 1
         assert list(jit.code) == [(list(jit.code)[0][0], 3)]
-
-    def test_env_default_threshold(self, monkeypatch):
-        monkeypatch.delenv("REPRO_JIT_THRESHOLD", raising=False)
-        program = assemble(COUNTING_LOOP)
-        jit = GuestInterpreter.for_program(program).enable_jit()
-        assert jit.threshold == DEFAULT_HOT_THRESHOLD
-        monkeypatch.setenv("REPRO_JIT_THRESHOLD", "7")
-        jit = GuestInterpreter.for_program(program).enable_jit()
-        assert jit.threshold == 7
 
     def test_env_enable_flag(self, monkeypatch):
         monkeypatch.delenv("REPRO_JIT", raising=False)

@@ -12,8 +12,11 @@ import dataclasses
 
 import pytest
 
+from tests.test_fastpath_differential import SELF_PATCHING_LOOP
 from repro.dbt.transcache import TranslationCache
+from repro.guest.assembler import assemble
 from repro.morph.config import PRESETS
+from repro.obs.events import Tracer
 from repro.vm.timing import TimingVM, run_timing
 from repro.workloads import SPECINT_NAMES, build_workload
 
@@ -59,15 +62,49 @@ class TestSuiteBitIdentity:
         assert _doc(first) == _doc(warm) == _doc(cold) == _doc(off)
 
 
+#: (workload, config) pairs for the stepped-vs-run pin; the SMC entry is
+#: the self-patching loop, which de-chains and recompiles mid-run.
+_RUN_VERSUS_STEP_CASES = [
+    ("197.parser", "speculative_4"),
+    ("176.gcc", "morph_threshold_0"),
+    ("164.gzip", "l15_128k"),
+    ("self-patching-loop", "speculative_4"),
+]
+
+
+def _build(workload):
+    if workload == "self-patching-loop":
+        return assemble(SELF_PATCHING_LOOP)
+    return build_workload(workload, scale=SCALE)
+
+
+def _jit_doc(vm):
+    snapshot = vm.jit_metrics.snapshot()
+    snapshot["histograms"].pop("compile.us", None)  # host time, not simulated
+    return snapshot
+
+
+def _event_docs(tracer):
+    assert tracer.dropped == 0
+    return [event.as_dict() for event in tracer.events()]
+
+
 class TestRunVersusStep:
-    def test_run_fast_loop_matches_step_loop(self):
-        # TimingVM.run's lean dispatch loop vs the public stepping API
-        program = build_workload("197.parser", scale=SCALE)
-        config = PRESETS["speculative_4"]
-        fast = run_timing(program, config, jit=True)
-        vm = TimingVM(program, config, jit=True)
-        vm.start()
-        while vm.step():
+    @pytest.mark.parametrize(
+        "workload, config_name", _RUN_VERSUS_STEP_CASES,
+        ids=["/".join(case) for case in _RUN_VERSUS_STEP_CASES],
+    )
+    def test_stepped_run_matches_run(self, workload, config_name):
+        # step() is one pass of run()'s dispatch loop, trace tier
+        # skipped: results, JIT metrics and the event stream (chain
+        # enter/exit events included) match a trace-off run exactly
+        program = _build(workload)
+        config = PRESETS[config_name]
+        ran = TimingVM(program, config, tracer=Tracer(1 << 20), jit=True, trace_jit=False)
+        ran_result = ran.run()
+        stepped = TimingVM(program, config, tracer=Tracer(1 << 20), jit=True, trace_jit=True)
+        while stepped.step():
             pass
-        stepped = vm._result(vm._executed_instructions)
-        assert _doc(fast) == _doc(stepped)
+        assert _doc(stepped.result()) == _doc(ran_result)
+        assert _jit_doc(stepped) == _jit_doc(ran)
+        assert _event_docs(stepped.tracer) == _event_docs(ran.tracer)

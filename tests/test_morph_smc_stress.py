@@ -106,6 +106,7 @@ class TestMorphSmcStress:
             if jit is not None:
                 assert not jit.check_consistency(), f"step {steps}"
         assert steps > 100
+        assert vm.jit_metrics["chains_linked"] > 0
         assert vm.stats["smc_invalidations"] >= SEGMENTS // 2
         assert vm.morph.fsm_state()["reconfigurations"] >= 2
         assert vm.interp.exit_code == _golden_exit(source)

@@ -1,5 +1,7 @@
 """Tests for multi-VM fabric sharing (the Section 5 'virtual x86 SMP')."""
 
+import dataclasses
+
 import pytest
 
 from repro.guest.assembler import assemble
@@ -93,3 +95,25 @@ class TestSharedFabric:
         # both VMs advanced; neither starved
         assert all(r.cycles > 0 for r in result.per_vm)
         assert result.total_guest_instructions > 1000
+
+    def test_max_steps_admits_a_run_that_needs_exactly_that_many(self):
+        # every scheduling step executes one block of one guest
+        reference = SharedFabric([_io_program(), _compute_program()], dynamic=True).run()
+        needed = sum(r.blocks_executed for r in reference.per_vm)
+        exact = SharedFabric([_io_program(), _compute_program()], dynamic=True)
+        assert dataclasses.asdict(exact.run(max_steps=needed)) == dataclasses.asdict(reference)
+        short = SharedFabric([_io_program(), _compute_program()], dynamic=True)
+        with pytest.raises(RuntimeError, match=f"exceeded {needed - 1} scheduling steps"):
+            short.run(max_steps=needed - 1)
+
+    def test_block_jit_is_invisible_in_fabric_results(self, monkeypatch):
+        # fabric VMs step through the chained block-JIT dispatch loop;
+        # makespan, reallocations and every per-VM result must match
+        # the interpreter-only fabric bit for bit
+        outcomes = []
+        for flag in ("0", "1"):
+            monkeypatch.setenv("REPRO_JIT", flag)
+            fabric = SharedFabric([_io_program(), _compute_program()], dynamic=True)
+            assert all(vm.jit_enabled == (flag == "1") for vm in fabric.vms)
+            outcomes.append(dataclasses.asdict(fabric.run()))
+        assert outcomes[0] == outcomes[1]

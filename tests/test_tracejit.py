@@ -21,20 +21,13 @@ from tests import blockgen
 from repro.guest.assembler import assemble
 from repro.guest.interpreter import GuestFault
 from repro.guest.tracejit import (
-    DEFAULT_TRACE_THRESHOLD,
     pack_trace_space,
     trace_jit_enabled_by_env,
-    trace_threshold_from_env,
     unpack_trace_space,
 )
 from repro.dbt.transcache import TranslationCache
 from repro.morph.config import PRESETS
-from repro.vm.timing import (
-    CHAIN_STREAK_THRESHOLD,
-    TimingVM,
-    chain_streak_from_env,
-    run_timing,
-)
+from repro.vm.timing import TimingVM, run_timing
 
 DATA_DIR = Path(__file__).parent / "data"
 #: Written (shrunk) whenever the hypothesis differential below fails;
@@ -86,20 +79,6 @@ class TestKnobs:
         assert trace_jit_enabled_by_env() is False
         monkeypatch.setenv("REPRO_TRACEJIT", "off")
         assert trace_jit_enabled_by_env() is False
-
-    def test_env_threshold(self, monkeypatch):
-        monkeypatch.delenv("REPRO_TRACE_THRESHOLD", raising=False)
-        assert trace_threshold_from_env() == DEFAULT_TRACE_THRESHOLD
-        monkeypatch.setenv("REPRO_TRACE_THRESHOLD", "3")
-        assert trace_threshold_from_env() == 3
-        monkeypatch.setenv("REPRO_TRACE_THRESHOLD", "0")
-        assert trace_threshold_from_env() == 1  # clamped
-
-    def test_env_chain_streak(self, monkeypatch):
-        monkeypatch.delenv("REPRO_CHAIN_STREAK", raising=False)
-        assert chain_streak_from_env() == CHAIN_STREAK_THRESHOLD
-        monkeypatch.setenv("REPRO_CHAIN_STREAK", "2")
-        assert chain_streak_from_env() == 2
 
     def test_vm_honours_trace_jit_override(self):
         program = assemble(TRACED_LOOP)
