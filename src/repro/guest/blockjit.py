@@ -5,9 +5,16 @@ path; this module applies the same medicine to the simulator itself.
 PR 3's ``run_block_at`` fast path still pays per-instruction dispatch —
 one ``handler(instr)`` call, one ``_read_operand`` isinstance ladder and
 one packed-flags helper call per guest instruction.  The block compiler
-here removes all three: on the Nth execution of a block (N =
-:data:`DEFAULT_HOT_THRESHOLD`, a knob) it emits one specialized Python
-function for the whole block and runs that instead.
+here removes all three: once a block is hot it emits one specialized
+Python function for the whole block and runs that instead.
+
+"Hot" depends on who can reuse the compile.  An engine with a shared
+space (every VM built with a translation cache: the sweep harness, the
+warm caches) compiles at the second execution
+(:data:`DEFAULT_HOT_THRESHOLD`), because every later VM of the program
+adopts the closure.  A lone engine compiles only at the measured
+break-even count (:data:`LONE_HOT_THRESHOLD`), after which the compile
+has paid for itself in this VM alone.
 
 What the generated code specializes, relative to the interpreter:
 
@@ -73,8 +80,34 @@ from repro.guest.syscalls import SYSCALL_VECTOR
 from repro.obs import prof
 from repro.obs.metrics import COMPILE_TIME_BUCKETS, MetricsRegistry
 
-#: Compile a block on its Nth execution (1 = first touch).
+#: Compile a block on its Nth execution (1 = first touch) when the
+#: engine has a shared space: every later VM of the same program adopts
+#: the compile (a sweep re-runs each program under every config column),
+#: so it pays back even for a block this VM runs twice.
 DEFAULT_HOT_THRESHOLD = 2
+
+#: The threshold of a *lone* engine — one built without a shared space
+#: (a ``TimingVM`` without a ``translation_cache``: ``SharedFabric``'s
+#: guests, ``run_timing`` called bare), whose compiles nobody reuses.
+#: It is the break-even execution count C / s, measured by
+#: ``benchmarks/jit_breakeven.py`` on gcc, mcf and perlbmk at scale 1.0
+#: (the large guests of a shared fabric) over the 2,002 blocks that run
+#: at least twice there, i.e. the blocks a lone VM compiled at
+#: threshold 2 (three runs, 2-core x86-64 container, CPython 3.11):
+#:
+#: * C, the mean compile cost of a block (``compile.us``): 1.29-1.38 ms;
+#: * s, the mean saving per execution of a block's closure over
+#:   ``run_block_at`` with its plan already built (the block's mean
+#:   interpreted time per execution minus its mean compiled time):
+#:   33-39 us;
+#: * C / s = 35-40 executions, rounded to the power of two below, 32.
+#:
+#: Paying the compile only once a block has run the break-even count
+#: bounds what each block costs at about twice the cheaper of "compile
+#: at once" and "never compile", whatever its final execution count.
+#: On a shared fabric of the I/O guest plus gcc, mcf and perlbmk, 16
+#: and 64 ran 0.3-0.5 s slower than 32 (of ~5.3 s).
+LONE_HOT_THRESHOLD = 32
 
 #: Environment switch: set to 0/off/no/false to disable the JIT
 #: everywhere (the ``--no-jit`` escape hatch plumbs through this).
@@ -1040,7 +1073,9 @@ class BlockJit:
         metrics: Optional[MetricsRegistry] = None,
     ) -> None:
         self.interp = interp
-        self.threshold = max(1, threshold if threshold is not None else DEFAULT_HOT_THRESHOLD)
+        if threshold is None:
+            threshold = LONE_HOT_THRESHOLD if shared_space is None else DEFAULT_HOT_THRESHOLD
+        self.threshold = max(1, threshold)
         #: (address, count) -> compiled closure; probed by run_block_at.
         self.code: Dict[Tuple[int, int], Callable] = {}
         self.blocks: Dict[Tuple[int, int], CompiledBlock] = {}

@@ -83,6 +83,15 @@ METRICS = MetricsRegistry("harness.runner")
 _DISK: Optional[DiskCache] = None
 _DISK_ENABLED: Optional[bool] = None  # None = follow the environment
 
+
+class CellGroupError(RuntimeError):
+    """A pool worker failed on one (workload, scale) group of cells.
+
+    Names the group and its configs; the worker's own exception is
+    chained as ``__cause__``.
+    """
+
+
 class _WorkerTelemetryStore:
     """Latest cumulative telemetry snapshot per pool worker.
 
@@ -430,7 +439,15 @@ def run_many(
         for group in grouped
     ]
     for group, future in futures:
-        group_results, deltas, telemetry = future.result()
+        try:
+            group_results, deltas, telemetry = future.result()
+        except Exception as err:
+            workload, _, scale = group[0]
+            configs = ", ".join(cfg.name for _, cfg, _ in group)
+            raise CellGroupError(
+                f"worker failed on {workload} at scale {scale} "
+                f"(configs: {configs}): {type(err).__name__}: {err}"
+            ) from err
         _WORKER_TELEMETRY.record(telemetry)
         for (workload, cfg, scale), result in zip(group, group_results):
             METRICS.bump("run_cache.misses")

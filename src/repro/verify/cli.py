@@ -40,7 +40,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from typing import List, Optional
+from typing import List, Optional, Tuple
 
 from repro.verify.findings import Severity, VerificationError
 from repro.verify.guestlint import lint_program
@@ -134,19 +134,29 @@ def _run_equiv(names: List[str], args: argparse.Namespace, mode: str) -> bool:
     return clean
 
 
-def _trace_one(name: str, args: argparse.Namespace) -> bool:
-    """Run ``name`` live with the trace tier on; verify every trace."""
+def _trace_one(name: str, args: argparse.Namespace) -> Tuple[bool, int]:
+    """Run ``name`` live with the trace tier on; verify every trace.
+
+    Returns (clean, traces verified).  The VM gets a translation cache
+    of its own so its block JIT tiers up at the second execution, as a
+    sweep cell's does: a lone VM waits for the break-even count and
+    would install, and so prove, far fewer traces.
+    """
+    from repro.dbt.transcache import TranslationCache
     from repro.morph.config import PRESETS
     from repro.verify.jitverify import verify_trace
     from repro.vm.timing import TimingVM
 
     program = _load(name, args.scale)
-    vm = TimingVM(program, PRESETS[CONFORM_CONFIG], jit=True, trace_jit=True)
+    vm = TimingVM(
+        program, PRESETS[CONFORM_CONFIG], jit=True, trace_jit=True,
+        translation_cache=TranslationCache(),
+    )
     vm.run()
     tracejit = vm._tracejit
     if tracejit is None:
         print(f"{name}: trace JIT unavailable (block JIT disabled); skipped")
-        return True
+        return True, 0
     failures = 0
     for head in sorted(tracejit.entries):
         try:
@@ -162,7 +172,22 @@ def _trace_one(name: str, args: argparse.Namespace) -> bool:
         f"{name}: {len(tracejit.entries)} traces ({blocks} blocks) verified, "
         f"{failures} failed, {len(findings)} consistency findings"
     )
-    return failures == 0 and not findings
+    return failures == 0 and not findings, len(tracejit.entries)
+
+
+def _run_trace(names: List[str], args: argparse.Namespace) -> bool:
+    """Verify every workload's traces; fail if none installed any.
+
+    An empty proof is a failure: a tier-up change that stops traces
+    forming would otherwise pass with nothing verified.
+    """
+    outcomes = [_trace_one(name, args) for name in names]
+    total = sum(count for _, count in outcomes)
+    print(f"trace: {total} traces verified across {len(names)} workloads")
+    if total == 0:
+        print("trace: no workload installed a trace; nothing was verified")
+        return False
+    return all(clean for clean, _ in outcomes)
 
 
 def _run_lint_src(args: argparse.Namespace) -> bool:
@@ -240,6 +265,7 @@ def _run_model(args: argparse.Namespace) -> bool:
 
 
 def _conform_live(name: str, jit: bool, args: argparse.Namespace):
+    from repro.dbt.transcache import TranslationCache
     from repro.obs.events import Tracer
     from repro.vm.timing import TimingVM
 
@@ -253,7 +279,12 @@ def _conform_live(name: str, jit: bool, args: argparse.Namespace):
         )
     program = _load(name, args.scale)
     tracer = Tracer(args.capacity) if args.capacity else Tracer()
-    vm = TimingVM(program, PRESETS[args.config], tracer=tracer, jit=jit)
+    # a translation cache of its own keeps tier-up at the second
+    # execution, so the JIT's chains and traces show in the events
+    vm = TimingVM(
+        program, PRESETS[args.config], tracer=tracer, jit=jit,
+        translation_cache=TranslationCache(),
+    )
     vm.run()
     return conform_vm(vm)
 
@@ -318,7 +349,7 @@ def _run_all(args: argparse.Namespace) -> bool:
         return all([_sweep_one(name, section_args) for name in names])
 
     def _trace_section() -> bool:
-        return all([_trace_one(name, section_args) for name in names])
+        return _run_trace(names, section_args)
 
     sections = (
         ("lint", _lint_section),
@@ -480,7 +511,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     if command in ("equiv", "jit"):
         clean = _run_equiv(names, args, mode=command)
     elif command == "trace":
-        clean = all([_trace_one(name, args) for name in names])
+        clean = _run_trace(names, args)
     else:
         clean = True
         for name in names:

@@ -16,6 +16,8 @@ from tests import blockgen
 from repro.dbt.frontend import scan_block
 from repro.guest.assembler import assemble
 from repro.guest.blockjit import (
+    DEFAULT_HOT_THRESHOLD,
+    LONE_HOT_THRESHOLD,
     Ineligible,
     compile_block,
     jit_enabled_by_env,
@@ -207,6 +209,63 @@ class TestEngine:
         # hot block recompiles without re-warming from zero
         assert jit.note_execution(*compiled[0]) is not None
         assert jit.metrics["compiles"] == len(compiled) + 1
+
+
+def _counting_loop(runs):
+    """COUNTING_LOOP whose block at ``loop`` runs ``runs`` times (the
+    first iteration belongs to the entry block, which falls into it)."""
+    return COUNTING_LOOP.replace("mov ecx, 50", f"mov ecx, {runs + 1}")
+
+
+class TestTierUp:
+    """A lone engine compiles at the break-even count; an engine whose
+    compiles other VMs adopt compiles at the second execution."""
+
+    def _lone(self, runs):
+        program = assemble(_counting_loop(runs))
+        interp = GuestInterpreter.for_program(program)
+        jit = interp.enable_jit()
+        assert _run_blocks(interp) == GuestInterpreter.for_program(program).run()
+        return jit
+
+    def test_lone_engine_waits_for_break_even(self):
+        assert self._lone(LONE_HOT_THRESHOLD - 1).metrics["compiles"] == 0
+        jit = self._lone(LONE_HOT_THRESHOLD)
+        assert jit.threshold == LONE_HOT_THRESHOLD
+        assert jit.metrics["compiles"] == 1
+
+    def test_vm_with_cache_compiles_at_second_run_and_shares(self):
+        from repro.dbt.transcache import TranslationCache
+        from repro.morph.config import PRESETS
+        from repro.vm.timing import TimingVM
+
+        config = PRESETS["speculative_4"]
+        program = assemble(_counting_loop(DEFAULT_HOT_THRESHOLD))
+        lone = TimingVM(program, config, jit=True)
+        lone.run()
+        assert lone.jit_metrics["compiles"] == 0
+        cache = TranslationCache()
+        first = TimingVM(program, config, jit=True, translation_cache=cache)
+        first.run()
+        assert first.jit_metrics["compiles"] >= 1
+        later = TimingVM(program, config, jit=True, translation_cache=cache)
+        later.run()
+        assert later.jit_metrics["compiles"] == 0
+        assert later.jit_metrics["shared_hits"] >= 1
+
+    def test_lone_vm_matches_interpreter(self):
+        import dataclasses
+
+        from repro.morph.config import PRESETS
+        from repro.vm.timing import TimingVM
+
+        config = PRESETS["speculative_4"]
+        program = assemble(_counting_loop(4 * LONE_HOT_THRESHOLD))
+        off = TimingVM(program, config, jit=False).run()
+        vm = TimingVM(program, config, jit=True)
+        on = vm.run()
+        assert vm.jit_metrics["compiles"] >= 1
+        assert dataclasses.asdict(on) == dataclasses.asdict(off)
 
 
 class TestSharedSpace:

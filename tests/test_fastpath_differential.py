@@ -110,6 +110,7 @@ class TestVmSelfModifyingCode:
     def test_jit_dechains_and_matches_interpreter(self):
         import dataclasses
 
+        from repro.dbt.transcache import TranslationCache
         from repro.morph.config import PRESETS
         from repro.vm.timing import TimingVM, run_timing
 
@@ -118,7 +119,9 @@ class TestVmSelfModifyingCode:
         off = run_timing(program, config, jit=False)
         assert off.exit_code == _SELF_PATCHING_EXIT
 
-        vm = TimingVM(program, config, jit=True)
+        # a translation cache keeps tier-up at the second execution; a
+        # lone VM would not compile this short loop at all
+        vm = TimingVM(program, config, jit=True, translation_cache=TranslationCache())
         on = vm.run()
         assert dataclasses.asdict(on) == dataclasses.asdict(off)
         # the JIT really engaged: the loop compiled, chained, was

@@ -1,5 +1,7 @@
 """Tests for the R32 host ISA: encoding roundtrips and the interpreter."""
 
+import inspect
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -291,8 +293,15 @@ class TestInterpreterControlFlow:
         assert exit_info.instructions == 4
 
     def test_runaway_budget(self):
-        with pytest.raises(HostFault):
-            run_host("loop: j loop\n", base=0x1000)
+        instrs, _ = assemble_host("loop: j loop\n", base=0x1000)
+        code = HostCodeSpace()
+        code.write_block(0x1000, instrs)
+        with pytest.raises(HostFault, match="exceeded 1000 host instructions"):
+            HostInterpreter(code, _DictPort()).run_block(0x1000, max_instructions=1000)
+
+    def test_runaway_budget_default(self):
+        default = inspect.signature(HostInterpreter.run_block).parameters["max_instructions"]
+        assert default.default == 5_000_000
 
     def test_fetch_outside_code_faults(self):
         code = HostCodeSpace()

@@ -27,14 +27,23 @@ def _doc(result):
     return dataclasses.asdict(result)
 
 
+def _jit_runs(program, config):
+    """JIT-on results of a lone VM (tier-up at the break-even count) and
+    of a VM with a translation cache (tier-up at the second execution,
+    which at this scale is what compiles most of the program)."""
+    lone = run_timing(program, config, jit=True)
+    cached = run_timing(program, config, jit=True, translation_cache=TranslationCache())
+    return lone, cached
+
+
 class TestSuiteBitIdentity:
     @pytest.mark.parametrize("workload", SPECINT_NAMES)
     def test_jit_matches_interpreter(self, workload):
         program = build_workload(workload, scale=SCALE)
         config = PRESETS["speculative_4"]
         off = run_timing(program, config, jit=False)
-        on = run_timing(program, config, jit=True)
-        assert _doc(on) == _doc(off), f"{workload}: JIT changed the results"
+        for on in _jit_runs(program, config):
+            assert _doc(on) == _doc(off), f"{workload}: JIT changed the results"
 
     def test_jit_matches_interpreter_when_morphing(self):
         # reconfiguration interacts with the dispatch loop (stall
@@ -42,8 +51,8 @@ class TestSuiteBitIdentity:
         program = build_workload("164.gzip", scale=SCALE)
         config = PRESETS["morph_threshold_5"]
         off = run_timing(program, config, jit=False)
-        on = run_timing(program, config, jit=True)
-        assert _doc(on) == _doc(off)
+        for on in _jit_runs(program, config):
+            assert _doc(on) == _doc(off)
 
     def test_shared_cache_and_cold_agree(self):
         # a JIT run adopting a sibling's compiled blocks must be
@@ -98,11 +107,20 @@ class TestRunVersusStep:
         # step() is one pass of run()'s dispatch loop, trace tier
         # skipped: results, JIT metrics and the event stream (chain
         # enter/exit events included) match a trace-off run exactly
+        # each VM has a translation cache of its own, so both tier up at
+        # the second execution and the chains (and the SMC case's
+        # de-chaining) really happen
         program = _build(workload)
         config = PRESETS[config_name]
-        ran = TimingVM(program, config, tracer=Tracer(1 << 20), jit=True, trace_jit=False)
+        ran = TimingVM(
+            program, config, tracer=Tracer(1 << 20), jit=True, trace_jit=False,
+            translation_cache=TranslationCache(),
+        )
         ran_result = ran.run()
-        stepped = TimingVM(program, config, tracer=Tracer(1 << 20), jit=True, trace_jit=True)
+        stepped = TimingVM(
+            program, config, tracer=Tracer(1 << 20), jit=True, trace_jit=True,
+            translation_cache=TranslationCache(),
+        )
         while stepped.step():
             pass
         assert _doc(stepped.result()) == _doc(ran_result)

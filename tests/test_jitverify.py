@@ -253,12 +253,18 @@ class TestChainLinks:
         assert "chain-stale-link" in codes
 
     def test_live_vm_dispatch_table_is_clean(self):
+        from repro.dbt.transcache import TranslationCache
         from repro.morph.config import PRESETS
         from repro.vm.timing import TimingVM
 
         from tests.test_fastpath_differential import SELF_PATCHING_LOOP
 
-        vm = TimingVM(assemble(SELF_PATCHING_LOOP), PRESETS["speculative_4"], jit=True)
+        # a translation cache keeps tier-up at the second execution; a
+        # lone VM would not compile this short loop at all
+        vm = TimingVM(
+            assemble(SELF_PATCHING_LOOP), PRESETS["speculative_4"], jit=True,
+            translation_cache=TranslationCache(),
+        )
         vm.run()
         assert vm.jit_metrics["chains_linked"] >= 1
         assert vm.check_chain_invariants() == []

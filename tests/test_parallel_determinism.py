@@ -159,3 +159,18 @@ def test_jit_pack_is_loaded_by_sibling_workers(tmp_path):
     for key, result in first.items():
         assert second[key].cycles == result.cycles
         assert second[key].stats == result.stats
+
+
+def test_worker_failure_names_its_cell_group():
+    """A worker's exception reaches the caller with the group's
+    (workload, scale) and configs, chained from the original."""
+    from repro.harness.runner import CellGroupError
+
+    cells = [("999.bogus", config, SCALE) for config in CONFIGS]
+    with pytest.raises(CellGroupError) as info:
+        run_many(cells, jobs=2)
+    message = str(info.value)
+    assert "999.bogus" in message and f"scale {SCALE}" in message
+    for config in CONFIGS:
+        assert config in message
+    assert info.value.__cause__ is not None

@@ -253,8 +253,15 @@ class TestLiveRuns:
     def test_workload_with_jit_conforms(self):
         from repro.workloads.suite import build_workload
 
+        from repro.dbt.transcache import TranslationCache
+
         program = build_workload("164.gzip", scale=0.02)
-        vm = TimingVM(program, PRESETS["morph_threshold_5"], tracer=Tracer(), jit=True)
+        # a translation cache keeps tier-up at the second execution, as
+        # in `python -m repro.verify conform`, so the JIT really engages
+        vm = TimingVM(
+            program, PRESETS["morph_threshold_5"], tracer=Tracer(), jit=True,
+            translation_cache=TranslationCache(),
+        )
         vm.run()
         report = conform_vm(vm)
         assert report.ok, "\n".join(str(f) for f in report.findings)

@@ -27,7 +27,7 @@ from repro.guest.tracejit import (
 )
 from repro.dbt.transcache import TranslationCache
 from repro.morph.config import PRESETS
-from repro.vm.timing import TimingVM, run_timing
+from repro.vm.timing import TimingVM
 
 DATA_DIR = Path(__file__).parent / "data"
 #: Written (shrunk) whenever the hypothesis differential below fails;
@@ -60,8 +60,17 @@ buf:
 """
 
 
+def _vm(program, **kwargs):
+    """A JIT-on VM with a translation cache of its own, so its blocks
+    tier up at the second execution as a sweep cell's do (a lone VM
+    waits for the break-even count and would not trace these loops)."""
+    return TimingVM(
+        program, _CONFIG, jit=True, translation_cache=TranslationCache(), **kwargs
+    )
+
+
 def _result_dict(program, **kwargs):
-    return dataclasses.asdict(run_timing(program, _CONFIG, jit=True, **kwargs))
+    return dataclasses.asdict(_vm(program, **kwargs).run())
 
 
 def _differential(source):
@@ -82,10 +91,10 @@ class TestKnobs:
 
     def test_vm_honours_trace_jit_override(self):
         program = assemble(TRACED_LOOP)
-        vm = TimingVM(program, _CONFIG, jit=True, trace_jit=False)
+        vm = _vm(program, trace_jit=False)
         vm.run()
         assert vm._tracejit is None
-        vm = TimingVM(program, _CONFIG, jit=True, trace_jit=True)
+        vm = _vm(program, trace_jit=True)
         vm.run()
         assert vm._tracejit is not None
         assert vm.jit_metrics["trace.installs"] >= 1
@@ -99,7 +108,7 @@ class TestTraceDifferential:
     def test_traced_loop_installs_and_matches(self):
         program = assemble(TRACED_LOOP)
         off = _result_dict(program, trace_jit=False)
-        vm = TimingVM(program, _CONFIG, jit=True, trace_jit=True)
+        vm = _vm(program, trace_jit=True)
         on = dataclasses.asdict(vm.run())
         assert on == off
         # the loop really became one closure: a multi-block loop trace
@@ -115,7 +124,7 @@ class TestTraceDifferential:
         source = TRACED_LOOP.replace("add ebx, eax", "imul ebx, eax")
         program = assemble(source)
         off = _result_dict(program, trace_jit=False)
-        vm = TimingVM(program, _CONFIG, jit=True, trace_jit=True)
+        vm = _vm(program, trace_jit=True)
         on = dataclasses.asdict(vm.run())
         assert on == off
         assert vm.jit_metrics["trace.installs"] >= 1
@@ -133,7 +142,7 @@ class TestTraceDifferential:
             source = blockgen.random_trace_program(seed)
             program = assemble(source)
             off = _result_dict(program, trace_jit=False)
-            vm = TimingVM(program, _CONFIG, jit=True, trace_jit=True)
+            vm = _vm(program, trace_jit=True)
             on = dataclasses.asdict(vm.run())
             assert on == off, source
             assert vm.jit_metrics["trace.invalidations"] >= 1, source
@@ -168,7 +177,7 @@ class TestMidTraceFault:
         program = assemble(FAULTING_TRACE)
 
         def run(trace_jit):
-            vm = TimingVM(program, _CONFIG, jit=True, trace_jit=trace_jit)
+            vm = _vm(program, trace_jit=trace_jit)
             with pytest.raises(GuestFault) as excinfo:
                 vm.run()
             return vm, excinfo.value
@@ -222,7 +231,7 @@ class TestPlantedBugs:
 
     def _installed_trace(self):
         program = assemble(TRACED_LOOP)
-        vm = TimingVM(program, _CONFIG, jit=True, trace_jit=True)
+        vm = _vm(program, trace_jit=True)
         vm.run()
         entries = vm._tracejit.entries
         assert entries, "no trace installed"
